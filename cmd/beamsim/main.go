@@ -67,9 +67,11 @@ func main() {
 		written++
 	}
 	save(sim.Snapshot())
-	for s := 1; s <= totalSteps; s++ {
-		sim.Step()
-		if s%interval == 0 && written <= *frames {
+	for done := 0; done < totalSteps; {
+		k := min(interval, totalSteps-done)
+		sim.RunSteps(k)
+		done += k
+		if done%interval == 0 && written <= *frames {
 			save(sim.Snapshot())
 		}
 	}

@@ -78,9 +78,28 @@ func (c Config) Validate() error {
 }
 
 // Sim is a running particle-core simulation. Create with NewSim, then
-// call Step or RunPeriods; read Particles for the current phase-space
-// state. Sim is not safe for concurrent use, but each Step internally
-// pushes particles in parallel.
+// call Step, RunSteps or RunPeriods; read Particles for the current
+// phase-space state. Sim is not safe for concurrent use, but the push
+// internally runs over particles in parallel.
+//
+// Every advance goes through one push kernel (RunSteps). It first
+// steps the core envelope serially for a block of at most
+// StepsPerPeriod steps, recording each step's focusing and semi-axes
+// in a table reused across calls. It then sweeps the particles in
+// tiles of pushTile over par.ForChunks and runs every step of the
+// block step-major inside a tile, so the tile's six SoA arrays stay in
+// L1 for the whole block instead of streaming from memory once per
+// step.
+//
+// Force-carry invariant: a step's closing half-kick and the next
+// step's opening half-kick evaluate the space-charge force at the same
+// (x, y), from the same core (a, b) — the envelope after step k is the
+// one before step k+1. So the kernel keeps that force in a per-tile
+// buffer and evaluates it once per step. The focusing is recomputed
+// from the table, and Kappa(S+ds) at step k is the same float as
+// Kappa(S) at step k+1. No floating-point expression is altered, so
+// the particle state is bit-identical to pushing one step at a time
+// with both kicks evaluated in full.
 type Sim struct {
 	Config    Config
 	Particles *Ensemble
@@ -90,6 +109,18 @@ type Sim struct {
 	steps   int
 	matched Envelope
 	ds      float64
+	env     []stepEnv // per-step table of the current block; cap is the block length
+}
+
+// pushTile is the particle tile of the push kernel: 256 particles of
+// the six float64 phase-space arrays are 12 KB, which fits in L1.
+const pushTile = 256
+
+// stepEnv holds what one integration step needs from the envelope:
+// the focusing at both ends of the step and the core semi-axes there.
+type stepEnv struct {
+	kappa0, kappa1 float64
+	a0, b0, a1, b1 float64
 }
 
 // NewSim constructs a simulation: solves for the matched envelope,
@@ -119,6 +150,7 @@ func NewSim(cfg Config) (*Sim, error) {
 		Core:      core,
 		matched:   matched,
 		ds:        cfg.Lattice.Period() / float64(cfg.StepsPerPeriod),
+		env:       make([]stepEnv, 0, cfg.StepsPerPeriod),
 	}, nil
 }
 
@@ -152,59 +184,96 @@ func spaceChargeKick(x, y, a, b, perveance float64) (fx, fy float64) {
 // Step advances the simulation by one integration step of length ds
 // using a leapfrog (kick-drift-kick) scheme for the particles,
 // synchronized with an RK4 update of the core envelope.
-func (s *Sim) Step() {
+func (s *Sim) Step() { s.RunSteps(1) }
+
+// RunPeriods advances the simulation by n full lattice periods.
+func (s *Sim) RunPeriods(n int) { s.RunSteps(n * s.Config.StepsPerPeriod) }
+
+// RunSteps advances the simulation by n integration steps, in blocks
+// of at most one lattice period (see Sim for the kernel).
+func (s *Sim) RunSteps(n int) {
+	for n > 0 {
+		k := min(n, cap(s.env))
+		s.push(s.advanceEnvelope(k))
+		n -= k
+	}
+}
+
+// advanceEnvelope steps the core envelope k steps and returns the
+// per-step table the particle push of those steps reads.
+func (s *Sim) advanceEnvelope(k int) []stepEnv {
+	cfg := s.Config
+	ds := s.ds
+	env := s.env[:0]
+	for i := 0; i < k; i++ {
+		next := s.Core.StepRK4(cfg.Lattice, s.S, ds, cfg.Perveance, cfg.EmitX, cfg.EmitY)
+		env = append(env, stepEnv{
+			kappa0: cfg.Lattice.Kappa(s.S),
+			kappa1: cfg.Lattice.Kappa(s.S + ds),
+			a0:     s.Core.A,
+			b0:     s.Core.B,
+			a1:     next.A,
+			b1:     next.B,
+		})
+		s.Core = next
+		s.S += ds
+		s.steps++
+	}
+	return env
+}
+
+// push advances every particle through the steps of env: tile by
+// tile, step-major inside a tile, carrying the space-charge force
+// from one step's closing half-kick to the next step's opening one.
+func (s *Sim) push(env []stepEnv) {
 	cfg := s.Config
 	ds := s.ds
 	half := ds / 2
-	kappa0 := cfg.Lattice.Kappa(s.S)
-	kappa1 := cfg.Lattice.Kappa(s.S + ds)
-	a0, b0 := s.Core.A, s.Core.B
-	next := s.Core.StepRK4(cfg.Lattice, s.S, ds, cfg.Perveance, cfg.EmitX, cfg.EmitY)
-	a1, b1 := next.A, next.B
-
+	perveance, focusZ, driftZ := cfg.Perveance, cfg.FocusZ, cfg.DriftZ
 	e := s.Particles
-	par.For(e.Len(), cfg.Workers, func(i int) {
-		x, y, z := e.X[i], e.Y[i], e.Z[i]
-		px, py, pz := e.Px[i], e.Py[i], e.Pz[i]
+	par.ForChunks(e.Len(), cfg.Workers, func(lo, hi int) {
+		var fxBuf, fyBuf [pushTile]float64
+		for t0 := lo; t0 < hi; t0 += pushTile {
+			t1 := min(t0+pushTile, hi)
+			xs := e.X[t0:t1]
+			n := len(xs)
+			ys, zs := e.Y[t0:t1][:n], e.Z[t0:t1][:n]
+			pxs, pys, pzs := e.Px[t0:t1][:n], e.Py[t0:t1][:n], e.Pz[t0:t1][:n]
+			fx, fy := fxBuf[:n], fyBuf[:n]
 
-		// First half-kick with fields at s.
-		fx, fy := spaceChargeKick(x, y, a0, b0, cfg.Perveance)
-		px += half * (-kappa0*x + fx)
-		py += half * (kappa0*y + fy)
-		pz += half * (-cfg.FocusZ * z)
+			// The block's first opening half-kick has no carried force.
+			for i := range xs {
+				fx[i], fy[i] = spaceChargeKick(xs[i], ys[i], env[0].a0, env[0].b0, perveance)
+			}
+			for _, st := range env {
+				for i := range xs {
+					x, y, z := xs[i], ys[i], zs[i]
+					px, py, pz := pxs[i], pys[i], pzs[i]
 
-		// Drift.
-		x += ds * px
-		y += ds * py
-		z += ds * (pz + cfg.DriftZ)
+					// First half-kick with fields at s (carried).
+					px += half * (-st.kappa0*x + fx[i])
+					py += half * (st.kappa0*y + fy[i])
+					pz += half * (-focusZ * z)
 
-		// Second half-kick with fields at s+ds.
-		fx, fy = spaceChargeKick(x, y, a1, b1, cfg.Perveance)
-		px += half * (-kappa1*x + fx)
-		py += half * (kappa1*y + fy)
-		pz += half * (-cfg.FocusZ * z)
+					// Drift.
+					x += ds * px
+					y += ds * py
+					z += ds * (pz + driftZ)
 
-		e.X[i], e.Y[i], e.Z[i] = x, y, z
-		e.Px[i], e.Py[i], e.Pz[i] = px, py, pz
+					// Second half-kick with fields at s+ds; the force is
+					// the next step's first half-kick force too.
+					gx, gy := spaceChargeKick(x, y, st.a1, st.b1, perveance)
+					px += half * (-st.kappa1*x + gx)
+					py += half * (st.kappa1*y + gy)
+					pz += half * (-focusZ * z)
+					fx[i], fy[i] = gx, gy
+
+					xs[i], ys[i], zs[i] = x, y, z
+					pxs[i], pys[i], pzs[i] = px, py, pz
+				}
+			}
+		}
 	})
-
-	s.Core = next
-	s.S += ds
-	s.steps++
-}
-
-// RunPeriods advances the simulation by n full lattice periods.
-func (s *Sim) RunPeriods(n int) {
-	for i := 0; i < n*s.Config.StepsPerPeriod; i++ {
-		s.Step()
-	}
-}
-
-// RunSteps advances the simulation by n integration steps.
-func (s *Sim) RunSteps(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
-	}
 }
 
 // Frame is a snapshot of the simulation state at one output time step —
@@ -228,12 +297,11 @@ func (s *Sim) RunWithFrames(nSteps, interval int) []Frame {
 		interval = 1
 	}
 	frames := []Frame{s.Snapshot()}
-	for i := 1; i <= nSteps; i++ {
-		s.Step()
-		if i%interval == 0 {
-			frames = append(frames, s.Snapshot())
-		}
+	for done := interval; done <= nSteps; done += interval {
+		s.RunSteps(interval)
+		frames = append(frames, s.Snapshot())
 	}
+	s.RunSteps(nSteps % interval)
 	return frames
 }
 

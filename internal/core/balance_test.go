@@ -105,7 +105,10 @@ func TestStreamBalancePlacementBitIdentical(t *testing.T) {
 	defer w.Close()
 	before := runtime.NumGoroutine()
 
-	s := p.StreamFrames(context.Background(), FrameSliceSource(long...), StreamOptions{
+	// Frames 3, 6 and 9 leave the source only after the flip before
+	// them, so each placement side is sure to extract some frames.
+	flips := map[int]chan struct{}{3: make(chan struct{}), 6: make(chan struct{}), 9: make(chan struct{})}
+	s := p.StreamFrames(context.Background(), gatedSource(long, flips), StreamOptions{
 		ExtractAddrs:   []string{w.Addr()},
 		ExtractWorkers: 2,
 		Buffer:         2,
@@ -148,6 +151,9 @@ func TestStreamBalancePlacementBitIdentical(t *testing.T) {
 			pl.SetStagePlacement("extract", false)
 		case 9:
 			pl.SetStagePlacement("extract", true)
+		}
+		if g, ok := flips[got]; ok {
+			close(g)
 		}
 	}
 	if err := s.Wait(); err != nil {

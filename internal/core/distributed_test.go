@@ -281,7 +281,10 @@ func TestStreamFleetAllWorkersDown(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	long := append(frames, frames...) // 6 frames
-	s := p.StreamFrames(context.Background(), FrameSliceSource(long...), StreamOptions{
+	// Frames 2-6 leave the source only once both workers are closed, so
+	// they cannot all finish extracting before the outage.
+	down := make(chan struct{})
+	s := p.StreamFrames(context.Background(), gatedSource(long, map[int]chan struct{}{1: down}), StreamOptions{
 		ExtractAddrs:   []string{w1.Addr(), w2.Addr()},
 		ExtractWorkers: 2,
 		ExtractPolicy: &remote.FleetOptions{
@@ -295,6 +298,7 @@ func TestStreamFleetAllWorkersDown(t *testing.T) {
 	}
 	w1.Close()
 	w2.Close()
+	close(down)
 	for range s.Out {
 	}
 	if err := s.Wait(); err == nil {

@@ -31,6 +31,27 @@ func streamFixture(t *testing.T, n int) (*ParticlePipeline, []beam.Frame) {
 	return p, frames
 }
 
+// gatedSource emits frames in order, holding frame i until gates[i]
+// (when present) is closed, so a test can change the stream between
+// frames with none of the later frames already in flight.
+func gatedSource(frames []beam.Frame, gates map[int]chan struct{}) FrameSource {
+	return func(ctx context.Context, emit func(beam.Frame) bool) error {
+		for i, f := range frames {
+			if g, ok := gates[i]; ok {
+				select {
+				case <-g:
+				case <-ctx.Done():
+					return nil
+				}
+			}
+			if !emit(f) {
+				return nil
+			}
+		}
+		return nil
+	}
+}
+
 // TestStreamMatchesSerialBitIdentical: the streaming engine must
 // produce byte-for-byte the same hybrid representations as the serial
 // partition+extract path on a fixed-seed 3-frame run, including with

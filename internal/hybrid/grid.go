@@ -57,16 +57,64 @@ func (g *Grid) Set(x, y, z int, v float32) {
 
 // Sample returns the trilinearly interpolated value at world position
 // p, or 0 outside the bounds — the software equivalent of a hardware
-// 3-D texture fetch.
+// 3-D texture fetch. Callers sampling many points should build one
+// Sampler and reuse it.
 func (g *Grid) Sample(p vec.V3) float64 {
-	if !g.Bounds.Contains(p) {
+	s := g.Sampler()
+	return s.Sample(p)
+}
+
+// Sampler is the trilinear fetch of one Grid with the per-grid
+// constants (bounds, extents, float resolution, strides) computed once
+// instead of per sample. It reads the grid's voxels at sample time but
+// assumes its resolution and bounds stay as they were when it was built.
+type Sampler struct {
+	g             *Grid
+	min, max      vec.V3
+	size          vec.V3 // Max - Min
+	nx, ny, nz    int
+	fnx, fny, fnz float64 // the resolution as floats
+	sz            int     // index stride of one voxel step in z
+}
+
+// Sampler returns a trilinear sampler over g.
+func (g *Grid) Sampler() Sampler {
+	return Sampler{
+		g:   g,
+		min: g.Bounds.Min, max: g.Bounds.Max, size: g.Bounds.Size(),
+		nx: g.Nx, ny: g.Ny, nz: g.Nz,
+		fnx: float64(g.Nx), fny: float64(g.Ny), fnz: float64(g.Nz),
+		sz: g.Nx * g.Ny,
+	}
+}
+
+// Sample returns the trilinearly interpolated value at p, or 0 outside
+// the bounds. Cells whose eight corners are all inside the grid read
+// them by direct index; cells on the edge clamp through At. Both paths
+// perform the same divides and lerps, so the result is bit-identical
+// to interpolating over clamped At fetches everywhere.
+func (s *Sampler) Sample(p vec.V3) float64 {
+	if !(p.X >= s.min.X && p.X <= s.max.X &&
+		p.Y >= s.min.Y && p.Y <= s.max.Y &&
+		p.Z >= s.min.Z && p.Z <= s.max.Z) {
 		return 0
 	}
-	n := g.Bounds.Normalize(p)
+	// Normalize into [0,1] as AABB.Normalize does: a zero-extent axis
+	// maps to its middle.
+	n := vec.V3{X: 0.5, Y: 0.5, Z: 0.5}
+	if s.size.X > 0 {
+		n.X = (p.X - s.min.X) / s.size.X
+	}
+	if s.size.Y > 0 {
+		n.Y = (p.Y - s.min.Y) / s.size.Y
+	}
+	if s.size.Z > 0 {
+		n.Z = (p.Z - s.min.Z) / s.size.Z
+	}
 	// Voxel centers sit at (i+0.5)/N; convert to continuous voxel coords.
-	fx := n.X*float64(g.Nx) - 0.5
-	fy := n.Y*float64(g.Ny) - 0.5
-	fz := n.Z*float64(g.Nz) - 0.5
+	fx := n.X*s.fnx - 0.5
+	fy := n.Y*s.fny - 0.5
+	fz := n.Z*s.fnz - 0.5
 	x0 := int(math.Floor(fx))
 	y0 := int(math.Floor(fy))
 	z0 := int(math.Floor(fz))
@@ -74,16 +122,31 @@ func (g *Grid) Sample(p vec.V3) float64 {
 	ty := fy - float64(y0)
 	tz := fz - float64(z0)
 
-	lerp := func(a, b float32, t float64) float64 {
-		return float64(a) + t*(float64(b)-float64(a))
+	var c00, c10, c01, c11 float64
+	if x0 >= 0 && x0+1 < s.nx && y0 >= 0 && y0+1 < s.ny && z0 >= 0 && z0+1 < s.nz {
+		d := s.g.Data
+		i := (z0*s.ny+y0)*s.nx + x0
+		j := i + s.nx // y+1
+		k := i + s.sz // z+1
+		l := k + s.nx // y+1, z+1
+		c00 = lerp(d[i], d[i+1], tx)
+		c10 = lerp(d[j], d[j+1], tx)
+		c01 = lerp(d[k], d[k+1], tx)
+		c11 = lerp(d[l], d[l+1], tx)
+	} else {
+		g := s.g
+		c00 = lerp(g.At(x0, y0, z0), g.At(x0+1, y0, z0), tx)
+		c10 = lerp(g.At(x0, y0+1, z0), g.At(x0+1, y0+1, z0), tx)
+		c01 = lerp(g.At(x0, y0, z0+1), g.At(x0+1, y0, z0+1), tx)
+		c11 = lerp(g.At(x0, y0+1, z0+1), g.At(x0+1, y0+1, z0+1), tx)
 	}
-	c00 := lerp(g.At(x0, y0, z0), g.At(x0+1, y0, z0), tx)
-	c10 := lerp(g.At(x0, y0+1, z0), g.At(x0+1, y0+1, z0), tx)
-	c01 := lerp(g.At(x0, y0, z0+1), g.At(x0+1, y0, z0+1), tx)
-	c11 := lerp(g.At(x0, y0+1, z0+1), g.At(x0+1, y0+1, z0+1), tx)
 	c0 := c00 + ty*(c10-c00)
 	c1 := c01 + ty*(c11-c01)
 	return c0 + tz*(c1-c0)
+}
+
+func lerp(a, b float32, t float64) float64 {
+	return float64(a) + t*(float64(b)-float64(a))
 }
 
 // MaxValue returns the largest voxel value.

@@ -293,7 +293,7 @@ func (p *Pipeline) Snapshot() []StageSnapshot {
 			switch m.kind {
 			case KindSource:
 				// A generator is "busy" whenever it isn't blocked on its
-				// output — it has no measurable body of its own.
+				// output: it has no input to wait on.
 				s.Utilization = clamp01(1 - s.SendWait)
 			default:
 				s.Utilization = clamp01(float64(d.service) / (wns * float64(workers)))

@@ -203,3 +203,31 @@ func TestMapExecOrderDeterministicAcrossResizes(t *testing.T) {
 		}
 	}
 }
+
+// TestSourceReportsGeneratorTime: a source's service time is the
+// generator's time between emits, so a source that works 5 ms per
+// item shows that cost in the stage table instead of 0.
+func TestSourceReportsGeneratorTime(t *testing.T) {
+	p := New(context.Background())
+	const items = 8
+	out := Source(p, 1, func(_ context.Context, emit func(int) bool) error {
+		for i := 0; i < items; i++ {
+			time.Sleep(5 * time.Millisecond)
+			if !emit(i) {
+				return nil
+			}
+		}
+		return nil
+	})
+	Collect(p, out)
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	src := p.Snapshot()[0]
+	if src.Kind != KindSource || src.Done != items {
+		t.Fatalf("source row %+v, want kind source with %d done", src, items)
+	}
+	if src.ServiceEWMA < 4*time.Millisecond {
+		t.Errorf("source service EWMA %v, want >= 4ms for a 5ms-per-item generator", src.ServiceEWMA)
+	}
+}

@@ -310,13 +310,16 @@ func Source[T any](p *Pipeline, buf int, gen func(ctx context.Context, emit func
 	p.go_(func() {
 		defer close(out)
 		defer m.finished.Store(true)
+		// The generator's time since the previous emit returned is the
+		// source's service time: for a simulation source, the sim step.
+		genStart := nowNanos()
 		emit := func(v T) bool {
 			t0 := nowNanos()
 			ok := send(p.ctx, out, v)
-			m.sendWaitNS.Add(nowNanos() - t0)
-			if ok {
-				m.done.Add(1)
-			}
+			t1 := nowNanos()
+			m.sendWaitNS.Add(t1 - t0)
+			m.noteService(t0-genStart, ok)
+			genStart = t1
 			return ok
 		}
 		if err := gen(p.ctx, emit); err != nil && p.ctx.Err() == nil {

@@ -59,13 +59,14 @@ func (r *Renderer) Render(fb *render.Framebuffer, cam render.Camera) {
 	}
 	step := voxel * r.stepScale()
 	refStep := voxel
+	smp := r.Grid.Sampler()
 
 	counts := make([]int64, fb.H)
 	par.ForChunks(fb.H, r.Workers, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			var n int64
 			for x := 0; x < fb.W; x++ {
-				n += r.castPixel(fb, cam, x, y, step, refStep)
+				n += r.castPixel(fb, cam, &smp, x, y, step, refStep)
 			}
 			counts[y] = n
 		}
@@ -86,7 +87,7 @@ func (r *Renderer) stepScale() float64 {
 
 // castPixel marches one ray and blends the result over the pixel.
 // It returns the number of volume samples taken.
-func (r *Renderer) castPixel(fb *render.Framebuffer, cam render.Camera, x, y int, step, refStep float64) int64 {
+func (r *Renderer) castPixel(fb *render.Framebuffer, cam render.Camera, smp *hybrid.Sampler, x, y int, step, refStep float64) int64 {
 	origin, dir := cam.Ray(x, y, fb.W, fb.H)
 	tEnter, tExit, hit := r.Grid.Bounds.IntersectRay(origin, dir)
 	if !hit || tExit <= 0 {
@@ -117,7 +118,7 @@ func (r *Renderer) castPixel(fb *render.Framebuffer, cam render.Camera, x, y int
 	samples := int64(0)
 	for t := tEnter; t < end && ca < 0.99; t += step {
 		p := origin.Add(dir.Scale(t))
-		d := r.Grid.Sample(p)
+		d := smp.Sample(p)
 		samples++
 		if d <= 0 {
 			continue

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/beam"
 	"repro/internal/hybrid"
 	"repro/internal/octree"
 	"repro/internal/render"
@@ -291,5 +292,41 @@ func TestRenderHybridDynamicValidation(t *testing.T) {
 	attr := func(int64) float64 { return 0 }
 	if _, _, err := RenderHybridDynamic(rep, tf, fb, cam, 1, attr, hybrid.GrayMap()); err == nil {
 		t.Error("representation without orig indices accepted")
+	}
+}
+
+// BenchmarkRenderStill times the still render of a live-frame-shaped
+// representation: a 200k-particle beam after one lattice period,
+// partitioned and extracted to a 32^3 volume with an n/10 point budget,
+// rendered at 256^2.
+func BenchmarkRenderStill(b *testing.B) {
+	const n = 200000
+	sim, err := beam.NewSim(beam.DefaultConfig(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.RunPeriods(1)
+	pts := make([]vec.V3, n)
+	axes := [3]beam.Axis{beam.AxisX, beam.AxisY, beam.AxisZ}
+	for i := range pts {
+		pts[i] = sim.Particles.Point3(i, axes)
+	}
+	tree, err := octree.Build(pts, octree.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: 32, Budget: n / 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tf, err := hybrid.DefaultTF(rep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := RenderStill(rep, tf, 256, 256, vec.New(0.4, 0.3, 1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
