@@ -60,14 +60,16 @@ func (g *Grid) Set(x, y, z int, v float32) {
 // 3-D texture fetch. Callers sampling many points should build one
 // Sampler and reuse it.
 func (g *Grid) Sample(p vec.V3) float64 {
-	s := g.Sampler()
+	s := g.fetcher()
 	return s.Sample(p)
 }
 
 // Sampler is the trilinear fetch of one Grid with the per-grid
 // constants (bounds, extents, float resolution, strides) computed once
-// instead of per sample. It reads the grid's voxels at sample time but
-// assumes its resolution and bounds stay as they were when it was built.
+// instead of per sample, plus the occupied box: the part of the grid
+// outside which every sample is exactly 0. It reads the grid's voxels
+// at sample time but assumes its resolution, bounds and zero voxels
+// stay as they were when it was built.
 type Sampler struct {
 	g             *Grid
 	min, max      vec.V3
@@ -75,10 +77,21 @@ type Sampler struct {
 	nx, ny, nz    int
 	fnx, fny, fnz float64 // the resolution as floats
 	sz            int     // index stride of one voxel step in z
+	occ           vec.AABB
+	occOK         bool
 }
 
-// Sampler returns a trilinear sampler over g.
+// Sampler returns a trilinear sampler over g. It scans the voxels once
+// for the occupied box.
 func (g *Grid) Sampler() Sampler {
+	s := g.fetcher()
+	s.occ, s.occOK = g.occupiedBox()
+	return s
+}
+
+// fetcher returns a sampler without the occupied box, for one-off
+// fetches that should not pay the voxel scan.
+func (g *Grid) fetcher() Sampler {
 	return Sampler{
 		g:   g,
 		min: g.Bounds.Min, max: g.Bounds.Max, size: g.Bounds.Size(),
@@ -86,6 +99,59 @@ func (g *Grid) Sampler() Sampler {
 		fnx: float64(g.Nx), fny: float64(g.Ny), fnz: float64(g.Nz),
 		sz: g.Nx * g.Ny,
 	}
+}
+
+// Occupied returns a world box outside which Sample returns exactly 0,
+// and false when every voxel is 0 (Sample is 0 everywhere). The hybrid
+// volume holds only the dense beam core, so this box is what a ray
+// caster needs to fetch; the rest of the grid is empty by design.
+func (s *Sampler) Occupied() (vec.AABB, bool) { return s.occ, s.occOK }
+
+// occupiedBox finds the index range of the non-zero voxels and widens
+// it by two voxels on every side. A sample reads the voxels x0 =
+// floor(n*N - 0.5) and x0+1, so it can see a voxel of index range
+// [a, b] only from within half a voxel before a to one and a half
+// after b; the two-voxel margin leaves more than a voxel for float
+// rounding and edge clamping. The box is clipped to the grid bounds,
+// outside which Sample is 0 anyway. NaN voxels count as non-zero.
+func (g *Grid) occupiedBox() (vec.AABB, bool) {
+	lo := [3]int{g.Nx, g.Ny, g.Nz}
+	hi := [3]int{-1, -1, -1}
+	i := 0
+	for z := 0; z < g.Nz; z++ {
+		for y := 0; y < g.Ny; y++ {
+			row := g.Data[i : i+g.Nx]
+			i += g.Nx
+			first := -1
+			for x, v := range row {
+				if v != 0 {
+					first = x
+					break
+				}
+			}
+			if first < 0 {
+				continue
+			}
+			last := first
+			for x := len(row) - 1; x > first; x-- {
+				if row[x] != 0 {
+					last = x
+					break
+				}
+			}
+			lo[0], hi[0] = min(lo[0], first), max(hi[0], last)
+			lo[1], hi[1] = min(lo[1], y), max(hi[1], y)
+			lo[2], hi[2] = min(lo[2], z), max(hi[2], z)
+		}
+	}
+	if hi[0] < 0 {
+		return vec.AABB{}, false
+	}
+	n := vec.New(float64(g.Nx), float64(g.Ny), float64(g.Nz))
+	from := vec.New(float64(lo[0]-2), float64(lo[1]-2), float64(lo[2]-2)).Div(n)
+	to := vec.New(float64(hi[0]+3), float64(hi[1]+3), float64(hi[2]+3)).Div(n)
+	occ := vec.Box(g.Bounds.Denormalize(from).Max(g.Bounds.Min), g.Bounds.Denormalize(to).Min(g.Bounds.Max))
+	return occ, true
 }
 
 // Sample returns the trilinearly interpolated value at p, or 0 outside

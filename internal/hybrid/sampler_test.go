@@ -145,3 +145,97 @@ func TestSamplerBitIdenticalToOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplerZeroOutsideOccupied checks the occupied box: Sample is
+// exactly 0 at random points outside it and just outside each of its
+// faces, every non-zero voxel center lies inside it, and an all-zero
+// grid has none.
+func TestSamplerZeroOutsideOccupied(t *testing.T) {
+	cube := vec.Box(vec.New(-1, -1, -1), vec.New(1, 1, 1))
+	cases := []struct {
+		name       string
+		nx, ny, nz int
+		bounds     vec.AABB
+		voxels     [][3]int // set to a non-zero value; nil = random block
+	}{
+		{"all zero", 8, 8, 8, cube, [][3]int{}},
+		{"corner min", 8, 6, 5, cube, [][3]int{{0, 0, 0}}},
+		{"corner max", 8, 6, 5, cube, [][3]int{{7, 5, 4}}},
+		{"corner mixed", 8, 6, 5, cube, [][3]int{{7, 0, 4}}},
+		{"face", 8, 6, 5, cube, [][3]int{{0, 3, 2}}},
+		{"interior voxel", 9, 9, 9, cube, [][3]int{{4, 4, 4}}},
+		{"two in one row", 9, 9, 9, cube, [][3]int{{1, 4, 4}, {6, 4, 4}}},
+		{"random block", 16, 12, 20, vec.Box(vec.New(-2, 0.5, -3), vec.New(1, 0.75, 4)), nil},
+		{"zero-extent y", 6, 5, 4, vec.Box(vec.New(0, 2, 0), vec.New(1, 2, 1)), [][3]int{{2, 2, 1}}},
+		{"1-voxel x", 1, 8, 8, unitBox(), [][3]int{{0, 3, 3}}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range cases {
+		g, err := NewGrid(c.nx, c.ny, c.nz, c.bounds)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		voxels := c.voxels
+		if voxels == nil {
+			lo := [3]int{3 + rng.Intn(4), 2 + rng.Intn(3), 5 + rng.Intn(4)}
+			for i := 0; i < 40; i++ {
+				voxels = append(voxels, [3]int{lo[0] + rng.Intn(5), lo[1] + rng.Intn(4), lo[2] + rng.Intn(6)})
+			}
+		}
+		for _, v := range voxels {
+			g.Set(v[0], v[1], v[2], 0.25+rng.Float32())
+		}
+		s := g.Sampler()
+		occ, ok := s.Occupied()
+		if ok != (len(voxels) > 0) {
+			t.Fatalf("%s: Occupied ok = %v with %d non-zero voxels", c.name, ok, len(voxels))
+		}
+		if !ok {
+			for _, p := range samplerProbes(rng, g) {
+				if got := s.Sample(p); got != 0 {
+					t.Fatalf("%s: Sample(%v) = %v in an all-zero grid", c.name, p, got)
+				}
+			}
+			continue
+		}
+		size := g.Bounds.Size()
+		for _, v := range voxels {
+			center := vec.New(
+				g.Bounds.Min.X+size.X*(float64(v[0])+0.5)/float64(g.Nx),
+				g.Bounds.Min.Y+size.Y*(float64(v[1])+0.5)/float64(g.Ny),
+				g.Bounds.Min.Z+size.Z*(float64(v[2])+0.5)/float64(g.Nz))
+			if !occ.Contains(center) {
+				t.Fatalf("%s: voxel %v center %v outside occupied box %v", c.name, v, center, occ)
+			}
+		}
+		// Points outside the box: random ones over the padded grid, and
+		// ones a rounding step beyond each face.
+		var probes []vec.V3
+		for _, p := range samplerProbes(rng, g) {
+			if !occ.Contains(p) {
+				probes = append(probes, p)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			p := vec.New(
+				occ.Min.X+rng.Float64()*(occ.Max.X-occ.Min.X),
+				occ.Min.Y+rng.Float64()*(occ.Max.Y-occ.Min.Y),
+				occ.Min.Z+rng.Float64()*(occ.Max.Z-occ.Min.Z))
+			axis := rng.Intn(3)
+			if rng.Intn(2) == 0 {
+				p = p.WithComponent(axis, math.Nextafter(occ.Min.Component(axis), math.Inf(-1)))
+			} else {
+				p = p.WithComponent(axis, math.Nextafter(occ.Max.Component(axis), math.Inf(1)))
+			}
+			probes = append(probes, p)
+		}
+		if len(probes) < 200 {
+			t.Fatalf("%s: only %d probes outside the occupied box", c.name, len(probes))
+		}
+		for _, p := range probes {
+			if got := s.Sample(p); got != 0 {
+				t.Fatalf("%s: Sample(%v) = %v outside occupied box %v", c.name, p, got, occ)
+			}
+		}
+	}
+}

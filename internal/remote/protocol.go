@@ -131,6 +131,12 @@ const (
 	// prefix cannot cause an arbitrary allocation.
 	maxBody = 1 << 30
 
+	// bodyChunk is the largest body read into one buffer sized by the
+	// length prefix alone. A longer body grows its buffer as its bytes
+	// arrive (readBody), so a peer commits the reader to at most about
+	// twice what it actually sent.
+	bodyChunk = 1 << 20
+
 	// msgOverhead is the body size before the payload: request ID + op.
 	msgOverhead = 8 + 1
 )
@@ -316,9 +322,8 @@ func readMessage(r io.Reader, rateBps int64) (message, error) {
 	if n > maxBody {
 		return message{}, fmt.Errorf("remote: implausible message body %d", n)
 	}
-	body := getBytes(int(n))
-	if err := readThrottled(r, body, rateBps); err != nil {
-		putBytes(body)
+	body, err := readBody(r, int(n), rateBps)
+	if err != nil {
 		return message{}, fmt.Errorf("remote: reading message body: %w", err)
 	}
 	var crcBuf [4]byte
@@ -336,6 +341,28 @@ func readMessage(r io.Reader, rateBps int64) (message, error) {
 		payload: body[msgOverhead:],
 		body:    body,
 	}, nil
+}
+
+// readBody reads an n-byte message body into a pooled buffer. A body
+// up to bodyChunk bytes takes one buffer of its claimed size; a longer
+// one starts at bodyChunk and doubles (capped at n) only once the
+// bytes so far have arrived.
+func readBody(r io.Reader, n int, rateBps int64) ([]byte, error) {
+	body := getBytes(min(n, bodyChunk))
+	read := 0
+	for {
+		if err := readThrottled(r, body[read:], rateBps); err != nil {
+			putBytes(body)
+			return nil, err
+		}
+		if read = len(body); read == n {
+			return body, nil
+		}
+		next := getBytes(min(2*read, n))
+		copy(next, body)
+		putBytes(body)
+		body = next
+	}
 }
 
 // readThrottled fills p, sleeping as needed to hold the modeled link

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -53,6 +54,92 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	if msg.reqID != 8 || msg.op != opList || len(msg.payload) != 0 {
 		t.Errorf("empty-payload round trip mangled: %+v", msg)
+	}
+}
+
+// TestMessageRoundTripLargeBodies crosses the size where readBody
+// stops trusting the length prefix and grows its buffer as bytes
+// arrive.
+func TestMessageRoundTripLargeBodies(t *testing.T) {
+	for _, n := range []int{
+		bodyChunk - msgOverhead - 1, bodyChunk - msgOverhead, bodyChunk - msgOverhead + 1,
+		2*bodyChunk - msgOverhead, 2*bodyChunk - msgOverhead + 1, 5*bodyChunk + 12345,
+	} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + i>>11)
+		}
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		if err := writeMessage(bw, uint64(n), opGetOK, payload); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := readMessage(&buf, 0)
+		if err != nil {
+			t.Fatalf("payload %d: %v", n, err)
+		}
+		if msg.reqID != uint64(n) || msg.op != opGetOK || !bytes.Equal(msg.payload, payload) {
+			t.Fatalf("payload %d: round trip mangled the message", n)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("payload %d: %d bytes left unread", n, buf.Len())
+		}
+	}
+}
+
+// TestReadMessageHostileLengthHeap sends the largest accepted length
+// prefix and then stalls (two peers at once) or closes: the reader may
+// commit memory for what arrived, not for what was claimed.
+func TestReadMessageHostileLengthHeap(t *testing.T) {
+	const ceiling = 8 << 20
+	header := binary.LittleEndian.AppendUint32(nil, maxBody)
+	header = append(header, goodBody(1, opGetOK, make([]byte, 100))...)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	runtime.GC()
+	before := heap()
+	var peers []*io.PipeWriter
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		pr, pw := io.Pipe()
+		peers = append(peers, pw)
+		go func() {
+			_, err := readMessage(pr, 0)
+			errs <- err
+		}()
+		// An unbuffered pipe returns from Write once the reader has
+		// consumed the bytes, so the reader is now waiting for the rest
+		// of the body with its buffer allocated.
+		if _, err := pw.Write(header); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stalled := heap()
+	for _, pw := range peers {
+		pw.CloseWithError(io.ErrUnexpectedEOF)
+	}
+	for range peers {
+		if err := <-errs; err == nil {
+			t.Fatal("stalled hostile length decoded without error")
+		}
+	}
+	grew := int64(stalled) - int64(before)
+	t.Logf("two stalled peers raised HeapAlloc by %d KiB", grew>>10)
+	if grew > ceiling {
+		t.Errorf("two stalled peers claiming %d bytes each raised HeapAlloc by %d MiB", maxBody, grew>>20)
+	}
+
+	runtime.GC()
+	before = heap()
+	if _, err := readMessage(bytes.NewReader(header), 0); err == nil {
+		t.Fatal("truncated hostile length decoded without error")
+	}
+	if grew := int64(heap()) - int64(before); grew > ceiling {
+		t.Errorf("a peer claiming %d bytes then closing raised HeapAlloc by %d MiB", maxBody, grew>>20)
 	}
 }
 
@@ -114,7 +201,8 @@ func FuzzReadMessage(f *testing.F) {
 	compute := goodBody(5, opCompute, rreq)
 	f.Add(rawFrame(uint32(len(compute)), compute, crc32.ChecksumIEEE(compute)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic and never over-allocate on hostile lengths.
+		// Must never panic and never over-allocate on hostile lengths
+		// (TestReadMessageHostileLengthHeap measures the second).
 		_, _ = readMessage(bytes.NewReader(data), 0)
 	})
 }

@@ -64,11 +64,11 @@ func LookAtBounds(b vec.AABB, dir vec.V3, fovy, aspect float64) (Camera, error) 
 
 // viewSpace transforms a world point into view space (camera at origin
 // looking down -Z).
-func (c Camera) viewSpace(p vec.V3) vec.V3 { return c.View.Apply(p) }
+func (c *Camera) viewSpace(p vec.V3) vec.V3 { return c.View.Apply(p) }
 
 // project maps a view-space point to screen coordinates and depth.
 // ok is false when the point is on or behind the near plane.
-func (c Camera) project(v vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
+func (c *Camera) project(v vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
 	if v.Z >= -c.Near {
 		return 0, 0, 0, false
 	}
@@ -79,39 +79,56 @@ func (c Camera) project(v vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
 }
 
 // WorldToScreen maps a world point directly to screen coordinates.
-func (c Camera) WorldToScreen(p vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
+func (c *Camera) WorldToScreen(p vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
 	return c.project(c.viewSpace(p), w, h)
 }
 
 // ViewDir returns the unit vector from p toward the camera eye.
-func (c Camera) ViewDir(p vec.V3) vec.V3 { return c.Eye.Sub(p).Norm() }
+func (c *Camera) ViewDir(p vec.V3) vec.V3 { return c.Eye.Sub(p).Norm() }
 
-// Ray returns the world-space origin and unit direction of the viewing
-// ray through pixel (px, py) of a w x h image — the ray generator of
-// the volume ray caster.
-func (c Camera) Ray(px, py, w, h int) (origin, dir vec.V3) {
-	ndcX := 2*(float64(px)+0.5)/float64(w) - 1
-	ndcY := 1 - 2*(float64(py)+0.5)/float64(h)
-	tan := math.Tan(c.Fovy / 2)
-	// View-space direction through the pixel.
-	vd := vec.New(ndcX*tan*c.Aspect, ndcY*tan, -1)
+// RayGen is the ray generator of the volume ray caster for one w x h
+// image, with the per-camera constants (the field-of-view tangent and
+// the view basis) computed once instead of per pixel.
+type RayGen struct {
+	eye, s, u, nf vec.V3
+	tan, aspect   float64
+	fw, fh        float64 // the image size as floats
+}
+
+// RayGen returns the ray generator of a w x h image through c.
+func (c *Camera) RayGen(w, h int) RayGen {
 	// The view matrix rows hold the camera basis (s, u, -f); its
 	// rotation inverse is the transpose.
-	s := vec.New(c.View[0], c.View[1], c.View[2])
-	u := vec.New(c.View[4], c.View[5], c.View[6])
-	nf := vec.New(c.View[8], c.View[9], c.View[10]) // -f
-	world := s.Scale(vd.X).Add(u.Scale(vd.Y)).Add(nf.Scale(vd.Z))
-	return c.Eye, world.Norm()
+	return RayGen{
+		eye:    c.Eye,
+		s:      vec.New(c.View[0], c.View[1], c.View[2]),
+		u:      vec.New(c.View[4], c.View[5], c.View[6]),
+		nf:     vec.New(c.View[8], c.View[9], c.View[10]), // -f
+		tan:    math.Tan(c.Fovy / 2),
+		aspect: c.Aspect,
+		fw:     float64(w), fh: float64(h),
+	}
+}
+
+// Ray returns the world-space origin and unit direction of the viewing
+// ray through pixel (px, py).
+func (g *RayGen) Ray(px, py int) (origin, dir vec.V3) {
+	ndcX := 2*(float64(px)+0.5)/g.fw - 1
+	ndcY := 1 - 2*(float64(py)+0.5)/g.fh
+	// View-space direction through the pixel.
+	vd := vec.New(ndcX*g.tan*g.aspect, ndcY*g.tan, -1)
+	world := g.s.Scale(vd.X).Add(g.u.Scale(vd.Y)).Add(g.nf.Scale(vd.Z))
+	return g.eye, world.Norm()
 }
 
 // ViewZ returns the view-space z coordinate of a world point (negative
 // in front of the camera).
-func (c Camera) ViewZ(p vec.V3) float64 { return c.viewSpace(p).Z }
+func (c *Camera) ViewZ(p vec.V3) float64 { return c.viewSpace(p).Z }
 
 // NDCDepth converts a view-space z (negative in front of the camera)
 // to the normalized-device depth stored in the depth buffer, so volume
 // marching can compare against rasterized geometry.
-func (c Camera) NDCDepth(viewZ float64) float64 {
+func (c *Camera) NDCDepth(viewZ float64) float64 {
 	n, f := c.Near, c.Far
 	return ((f+n)/(n-f)*viewZ + 2*f*n/(n-f)) / -viewZ
 }
@@ -119,7 +136,7 @@ func (c Camera) NDCDepth(viewZ float64) float64 {
 // PixelRadius returns the approximate screen-space radius in pixels of
 // a sphere of worldRadius at world position p — used to size point
 // splats and self-orienting strip widths consistently with perspective.
-func (c Camera) PixelRadius(p vec.V3, worldRadius float64, h int) float64 {
+func (c *Camera) PixelRadius(p vec.V3, worldRadius float64, h int) float64 {
 	d := c.viewSpace(p)
 	dist := -d.Z
 	if dist <= c.Near {
@@ -137,7 +154,7 @@ func (c Camera) PixelRadius(p vec.V3, worldRadius float64, h int) float64 {
 // the independent project() path can never round outside the interval.
 // ok is false when any corner reaches the near plane (no bounded
 // interval is safe there) or the box is empty.
-func (c Camera) DepthRange(b vec.AABB) (near, far float32, ok bool) {
+func (c *Camera) DepthRange(b vec.AABB) (near, far float32, ok bool) {
 	if b.IsEmpty() {
 		return 0, 0, false
 	}

@@ -5,6 +5,12 @@
 // termination, and correct interleaving with opaque geometry already
 // in the depth buffer (so halo points occlude and are occluded by the
 // volume exactly as in Fig 4).
+//
+// The hybrid volume holds only the dense beam core, so most of it is
+// empty. Each ray fetches the volume only inside the occupied box of
+// hybrid.Sampler, where a sample can be non-zero; it steps over the
+// rest without fetching, at the same positions, so images and
+// SampleCount are those of a march that fetched everywhere.
 package volren
 
 import (
@@ -32,10 +38,15 @@ type Renderer struct {
 	// distributed in contiguous chunks.
 	Workers int
 
-	// SampleCount accumulates how many volume samples the last Render
-	// took; it is the cost metric the Fig 1 experiment reports (256^3
-	// full-res casting vs 64^3 hybrid casting).
+	// SampleCount is the number of march positions of the last Render:
+	// every step of every ray through the grid up to its exit, opaque
+	// geometry or early termination, whether or not the step fetched
+	// the volume. It is the cost model the Fig 1 experiment reports
+	// (256^3 full-res casting vs 64^3 hybrid casting).
 	SampleCount int64
+	// fetches is the number of those positions that fetched the volume:
+	// the ones inside the occupied box.
+	fetches int64
 }
 
 // New returns a renderer over the given grid and transfer functions.
@@ -60,22 +71,25 @@ func (r *Renderer) Render(fb *render.Framebuffer, cam render.Camera) {
 	step := voxel * r.stepScale()
 	refStep := voxel
 	smp := r.Grid.Sampler()
+	rays := cam.RayGen(fb.W, fb.H)
 
-	counts := make([]int64, fb.H)
+	counts := make([][2]int64, fb.H) // march positions, fetches
 	par.ForChunks(fb.H, r.Workers, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			var n int64
+			var n [2]int64
 			for x := 0; x < fb.W; x++ {
-				n += r.castPixel(fb, cam, &smp, x, y, step, refStep)
+				pos, fetched := r.castPixel(fb, &cam, &rays, &smp, x, y, step, refStep)
+				n[0] += pos
+				n[1] += fetched
 			}
 			counts[y] = n
 		}
 	})
-	var total int64
+	r.SampleCount, r.fetches = 0, 0
 	for _, c := range counts {
-		total += c
+		r.SampleCount += c[0]
+		r.fetches += c[1]
 	}
-	r.SampleCount = total
 }
 
 func (r *Renderer) stepScale() float64 {
@@ -85,13 +99,17 @@ func (r *Renderer) stepScale() float64 {
 	return r.StepScale
 }
 
-// castPixel marches one ray and blends the result over the pixel.
-// It returns the number of volume samples taken.
-func (r *Renderer) castPixel(fb *render.Framebuffer, cam render.Camera, smp *hybrid.Sampler, x, y int, step, refStep float64) int64 {
-	origin, dir := cam.Ray(x, y, fb.W, fb.H)
+// castPixel marches one ray and blends the result over the pixel. It
+// returns the number of march positions and of volume fetches.
+// Positions outside the sampler's occupied box read exactly 0 and add
+// nothing, so the march steps over them without fetching: the
+// positions, the fetches that remain and every float they produce are
+// those of a march that fetched at every position.
+func (r *Renderer) castPixel(fb *render.Framebuffer, cam *render.Camera, rays *render.RayGen, smp *hybrid.Sampler, x, y int, step, refStep float64) (positions, fetches int64) {
+	origin, dir := rays.Ray(x, y)
 	tEnter, tExit, hit := r.Grid.Bounds.IntersectRay(origin, dir)
 	if !hit || tExit <= 0 {
-		return 0
+		return 0, 0
 	}
 	if tEnter < cam.Near {
 		tEnter = cam.Near
@@ -112,14 +130,28 @@ func (r *Renderer) castPixel(fb *render.Framebuffer, cam render.Camera, smp *hyb
 		// per-pixel granularity and exact at convergence.
 		geomLimit = r.rayLimitForDepth(cam, origin, dir, float64(zGeom), tEnter, tExit)
 	}
-
 	end := math.Min(tExit, geomLimit)
+
+	// The ray's interval through the occupied box, widened by a step;
+	// a ray that misses the box (or an all-zero grid) gets the empty
+	// interval.
+	occEnter, occExit := math.Inf(1), math.Inf(-1)
+	if occ, ok := smp.Occupied(); ok {
+		if t0, t1, hit := occ.IntersectRay(origin, dir); hit {
+			occEnter, occExit = t0-step, t1+step
+		}
+	}
+
 	var cr, cg, cb, ca float64 // premultiplied accumulation
-	samples := int64(0)
-	for t := tEnter; t < end && ca < 0.99; t += step {
+	t := tEnter
+	// Empty space before the box: count the positions, fetch nothing.
+	for ; t < end && t < occEnter; t += step {
+		positions++
+	}
+	for ; t < end && t <= occExit && ca < 0.99; t += step {
 		p := origin.Add(dir.Scale(t))
 		d := smp.Sample(p)
-		samples++
+		fetches++
 		if d <= 0 {
 			continue
 		}
@@ -135,17 +167,24 @@ func (r *Renderer) castPixel(fb *render.Framebuffer, cam render.Camera, smp *hyb
 		cb += w * s.B
 		ca += w
 	}
+	if ca < 0.99 {
+		// Past the box ca no longer changes: count the rest.
+		for ; t < end; t += step {
+			positions++
+		}
+	}
+	positions += fetches
 	if ca <= 0 {
-		return samples
+		return positions, fetches
 	}
 	// Composite the accumulated (premultiplied) color over the pixel.
 	r.blendOver(fb, x, y, cr, cg, cb, ca)
-	return samples
+	return positions, fetches
 }
 
 // rayLimitForDepth finds the ray parameter whose NDC depth equals
 // zNDC, by bisection over [tLo, tHi].
-func (r *Renderer) rayLimitForDepth(cam render.Camera, origin, dir vec.V3, zNDC, tLo, tHi float64) float64 {
+func (r *Renderer) rayLimitForDepth(cam *render.Camera, origin, dir vec.V3, zNDC, tLo, tHi float64) float64 {
 	// Depth is increasing in t (farther along the ray = deeper).
 	lo, hi := tLo, tHi
 	if cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(hi)))) <= zNDC {

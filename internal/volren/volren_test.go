@@ -298,7 +298,8 @@ func TestRenderHybridDynamicValidation(t *testing.T) {
 // BenchmarkRenderStill times the still render of a live-frame-shaped
 // representation: a 200k-particle beam after one lattice period,
 // partitioned and extracted to a 32^3 volume with an n/10 point budget,
-// rendered at 256^2.
+// rendered at 256^2. It reports the ray cast's march positions and the
+// volume fetches among them.
 func BenchmarkRenderStill(b *testing.B) {
 	const n = 200000
 	sim, err := beam.NewSim(beam.DefaultConfig(n))
@@ -324,9 +325,12 @@ func BenchmarkRenderStill(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	var vr *Renderer
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := RenderStill(rep, tf, 256, 256, vec.New(0.4, 0.3, 1)); err != nil {
+		if _, _, vr, err = RenderStill(rep, tf, 256, 256, vec.New(0.4, 0.3, 1)); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(vr.SampleCount), "positions/op")
+	b.ReportMetric(float64(vr.fetches), "fetches/op")
 }
